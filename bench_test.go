@@ -351,19 +351,6 @@ func BenchmarkRunOne16x16Tiled(b *testing.B) {
 	b.ReportMetric(4, "tiles/op")
 }
 
-// BenchmarkSystemThroughput measures raw simulator speed: simulated
-// cycles per host second for the default speculative system.
-func BenchmarkSystemThroughput(b *testing.B) {
-	cfg := DefaultConfig(DirectorySpec, OLTP)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := Build(cfg)
-		s.Start()
-		s.Run(100_000)
-	}
-	b.ReportMetric(100_000, "sim-cycles/op")
-}
-
 // BenchmarkRecoveryCost measures one full SafetyNet recovery
 // (rollback + reset + restore) on a warmed-up system.
 func BenchmarkRecoveryCost(b *testing.B) {

@@ -176,7 +176,7 @@ func TestOwnerUpgradeFwdGetS(t *testing.T) {
 func TestGetSRaceWithWritebackSpecDetects(t *testing.T) {
 	_, f, p := scripted(t, Spec)
 	var reasons []string
-	p.OnMisSpeculation = func(r string) {
+	p.OnMisSpeculation = func(_ coherence.NodeID, r string) {
 		reasons = append(reasons, r)
 		p.ResetTransients()
 		f.queue = nil
@@ -276,7 +276,7 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	cfg := DefaultConfig(16, Spec)
 	cfg.TimeoutCycles = 100_000
 	p := New(k, net, cfg, nil)
-	p.OnMisSpeculation = func(r string) { t.Fatalf("watchdog false positive: %s", r) }
+	p.OnMisSpeculation = func(_ coherence.NodeID, r string) { t.Fatalf("watchdog false positive: %s", r) }
 	p.StartWatchdog(10_000)
 	r := sim.NewRNG(5)
 	for n := 0; n < 16; n++ {

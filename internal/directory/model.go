@@ -112,7 +112,7 @@ func (m *dirModel) Reset() {
 	m.completed = 0
 	m.doneOps = make([]int, len(m.cfg.Script))
 	m.wbRaceBase = m.p.Stats().WBRaces.Value()
-	m.p.OnMisSpeculation = func(reason string) {
+	m.p.OnMisSpeculation = func(_ coherence.NodeID, reason string) {
 		m.detected = true
 		m.detectReason = reason
 		// Exploration treats detection as a terminal, correct outcome:

@@ -122,19 +122,15 @@ type Protocol struct {
 	shardOf []int
 
 	// OnMisSpeculation is invoked on a detected mis-speculation (Spec
-	// variant ordering violation, or a watchdog timeout). It must
-	// perform the recovery (reset, restore); the protocol abandons the
-	// current message. Nil panics on detection — useful in unit tests
-	// that must not mis-speculate.
-	OnMisSpeculation func(reason string)
-
-	// OnMisSpeculationAt, when non-nil, takes precedence over
-	// OnMisSpeculation and additionally receives the detecting node.
-	// Sharded systems wire it to *defer* the recovery to the next
-	// window edge (a detection must not mutate other shards mid-window);
-	// the detecting handler simply drops its message, exactly as it
-	// does under an immediate recovery.
-	OnMisSpeculationAt func(node coherence.NodeID, reason string)
+	// variant ordering violation, or a watchdog timeout) with the
+	// detecting node. It must arrange the recovery (reset, restore):
+	// serial systems recover at once and ignore the node; sharded
+	// systems *defer* the recovery to the next window edge (a detection
+	// must not mutate other shards mid-window) and use the node to pick
+	// its shard. Either way the protocol abandons the current message.
+	// Nil panics on detection — useful in unit tests that must not
+	// mis-speculate.
+	OnMisSpeculation func(node coherence.NodeID, reason string)
 
 	caches []*cacheCtrl
 	dirs   []*dirCtrl
@@ -376,8 +372,9 @@ func (p *Protocol) NoteTimeout() { p.sts[0].TimeoutsDetected.Inc() }
 // StartWatchdog arms the §4 transaction-timeout deadlock detector:
 // every interval it checks all transactions and reports a
 // mis-speculation if any has been outstanding longer than
-// cfg.TimeoutCycles. A no-op if TimeoutCycles is zero. Serial systems
-// only — sharded systems drive TimeoutScan from edge control instead.
+// cfg.TimeoutCycles. A no-op if TimeoutCycles is zero. It runs on the
+// protocol's own kernel, for standalone protocol use; the system layer
+// drives TimeoutScan from its control scheduler instead.
 func (p *Protocol) StartWatchdog(interval sim.Time) {
 	if p.cfg.TimeoutCycles == 0 {
 		return
@@ -406,14 +403,10 @@ func (p *Protocol) after(node coherence.NodeID, d sim.Time, fn func()) {
 }
 
 func (p *Protocol) misSpeculate(node coherence.NodeID, reason string) {
-	if p.OnMisSpeculationAt != nil {
-		p.OnMisSpeculationAt(node, reason)
-		return
-	}
 	if p.OnMisSpeculation == nil {
 		panic("directory: mis-speculation detected with no recovery wired: " + reason)
 	}
-	p.OnMisSpeculation(reason)
+	p.OnMisSpeculation(node, reason)
 }
 
 func (p *Protocol) send(m coherence.Msg, to coherence.NodeID) {

@@ -222,7 +222,7 @@ func TestReaccessDuringWritebackParks(t *testing.T) {
 func TestWritebackRaceSpecDetected(t *testing.T) {
 	_, f, p := scripted(t, Spec)
 	var reasons []string
-	p.OnMisSpeculation = func(r string) {
+	p.OnMisSpeculation = func(_ coherence.NodeID, r string) {
 		reasons = append(reasons, r)
 		p.ResetTransients()
 		f.queue = nil
@@ -260,7 +260,7 @@ func TestWritebackRaceSpecDetected(t *testing.T) {
 // honored (forward first), the Spec variant needs no extra machinery.
 func TestWritebackRaceSpecInOrder(t *testing.T) {
 	_, f, p := scripted(t, Spec)
-	p.OnMisSpeculation = func(r string) { t.Fatalf("unexpected mis-speculation %q", r) }
+	p.OnMisSpeculation = func(_ coherence.NodeID, r string) { t.Fatalf("unexpected mis-speculation %q", r) }
 	doAccess(t, f, p, 1, blkA, coherence.Store)
 	doAccess(t, f, p, 1, blkB, coherence.Store)
 	n2done := false
@@ -366,7 +366,7 @@ func TestTimeoutWatchdogDetectsStuckTransaction(t *testing.T) {
 	cfg := tinyConfig(Spec)
 	cfg.TimeoutCycles = 10_000
 	p2 = New(k, newTestFabric(k, 4), cfg, nil)
-	p2.OnMisSpeculation = func(r string) {
+	p2.OnMisSpeculation = func(_ coherence.NodeID, r string) {
 		reasons = append(reasons, r)
 		p2.ResetTransients()
 	}

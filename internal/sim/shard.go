@@ -27,11 +27,13 @@
 //
 // Global control — checkpoint orchestration, recovery, watchdog scans,
 // anything that reads or writes more than one shard — runs only at
-// window edges via ControlAt/After, single-threaded, with every kernel
-// quiesced at the same instant. The group is therefore deterministic by
-// construction: shard-local execution is sequential, cross-shard inputs
-// arrive at deterministic points in deterministic order, and control
-// runs at deterministic times.
+// window edges via At/After (the group is a Scheduler, like a Kernel),
+// single-threaded, with every kernel quiesced at the same instant.
+// Edges sit on a fixed grid of window multiples from the group's
+// origin, whatever sequence of Run calls drives it. The group is
+// therefore deterministic by construction: shard-local execution is
+// sequential, cross-shard inputs arrive at deterministic points in
+// deterministic order, and control runs at deterministic times.
 package sim
 
 import (
@@ -40,12 +42,15 @@ import (
 	"sync/atomic"
 )
 
-// Scheduler schedules a closure after a delay of simulated cycles. Both
-// *Kernel (serial systems) and *Shards (where closures must run at
-// window edges, not inside a shard's window) implement it; model code
-// that only needs delayed global actions takes a Scheduler so it works
-// under either execution mode.
+// Scheduler is the control surface of a schedule: the current time and
+// closures at an absolute time or after a delay. Both *Kernel (serial
+// systems: closures are kernel events) and *Shards (closures run at the
+// first window edge at or after their time, never inside a shard's
+// window) implement it; control code written against a Scheduler runs
+// unchanged under either execution mode.
 type Scheduler interface {
+	Now() Time
+	At(t Time, fn func())
 	After(d Time, fn func())
 }
 
@@ -74,12 +79,17 @@ type ctlAction struct {
 // Threading contract: during a window, shard i's kernel (and any model
 // state owned by shard i) is touched only by the goroutine running
 // shard i; Post may be called only by the source shard's goroutine (or
-// single-threaded outside Run). ControlAt/After and the hooks run
+// single-threaded outside Run). At/After closures and the hooks run
 // single-threaded at window edges with all shards quiesced.
 type Shards struct {
 	window Time
 	ks     []*Kernel
 	now    Time
+
+	// midWindow is set when a Run call stopped inside a window: the
+	// window's edge has run and its events through now have fired, so
+	// the next Run resumes the window instead of opening an edge.
+	midWindow bool
 
 	// boxes[dst][src] is the SPSC boundary queue from shard src to
 	// shard dst. Entries drain in (src, FIFO) order at each edge.
@@ -223,8 +233,8 @@ func (g *Shards) Kernel(i int) *Kernel { return g.ks[i] }
 // Window returns the lookahead window in cycles.
 func (g *Shards) Window() Time { return g.window }
 
-// Now returns the current edge time: every kernel sits exactly here
-// between Run calls and during control.
+// Now returns the group's current time: every kernel sits exactly here
+// between Run calls, and during control it is the edge time.
 func (g *Shards) Now() Time { return g.now }
 
 // Post enqueues a cross-shard event: h.HandleEvent(a0, a1, p) fires at
@@ -250,17 +260,17 @@ func (g *Shards) Post(src, dst int, when Time, h Handler, a0, a1 uint64, p any) 
 // write only their own shard's.
 func (g *Shards) PreWindow(fn func(shard int)) { g.preWindow = append(g.preWindow, fn) }
 
-// ControlAt schedules fn to run single-threaded at the first window
+// At implements Scheduler: fn runs single-threaded at the first window
 // edge at or after t. Call only from control context (hooks, other
 // control actions) or while no Run is in progress.
-func (g *Shards) ControlAt(t Time, fn func()) {
+func (g *Shards) At(t Time, fn func()) {
 	g.ctlPush(ctlAction{at: t, seq: g.ctlSeq, fn: fn})
 	g.ctlSeq++
 }
 
 // After implements Scheduler: fn runs at the first edge at or after
 // now+d.
-func (g *Shards) After(d Time, fn func()) { g.ControlAt(g.now+d, fn) }
+func (g *Shards) After(d Time, fn func()) { g.At(g.now+d, fn) }
 
 // edge performs the single-threaded window-edge work: hooks and due
 // control actions. Boundary-queue drains follow as a parallel phase
@@ -305,8 +315,13 @@ func (g *Shards) drain(dst int) {
 
 // Run advances every shard to exactly `until`, executing windows in
 // parallel and edges single-threaded. Events scheduled exactly at
-// `until` still fire (matching Kernel.Run); control actions scheduled
-// at `until` run at the next Run's first edge.
+// `until` still fire (matching Kernel.Run). Edges stay on the grid of
+// window multiples whatever the call pattern: a call that ends inside a
+// window runs that window's prefix through `until`, and the next call
+// finishes the window without an edge. Boundary posts from the prefix
+// land at or beyond the grid edge (the lookahead bound), so they wait in
+// their queues exactly as in one long call, and Run(a) followed by
+// Run(b) equals Run(b).
 func (g *Shards) Run(until Time) {
 	if until < g.now {
 		panic(fmt.Sprintf("sim: Run(%d) before now %d", until, g.now))
@@ -320,22 +335,25 @@ func (g *Shards) Run(until Time) {
 		g.startWorkers()
 	}
 	for {
-		g.edge()
-		g.parallel(jobDrain, 0, single)
-		if len(g.preWindow) > 0 {
-			g.parallel(jobPre, 0, single)
+		if !g.midWindow {
+			g.edge()
+			g.parallel(jobDrain, 0, single)
+			if len(g.preWindow) > 0 {
+				g.parallel(jobPre, 0, single)
+			}
 		}
-		if end := g.now + g.window; end <= until {
-			// Full window [now, end): fires events < end.
+		if end := (g.now/g.window + 1) * g.window; end <= until {
+			// The rest of the window, up to the next grid edge: fires
+			// events < end.
 			g.parallel(jobRunWindow, end, single)
-			g.now = end
+			g.now, g.midWindow = end, false
 			continue
 		}
-		// Final, possibly short, inclusive window [now, until]: it spans
-		// until-now+1 <= window cycles, so sends within it still land
-		// beyond until and wait in their boundary queues for a later Run.
+		// Inclusive prefix [now, until] of the current window: sends
+		// within it land at or beyond the next grid edge and wait in
+		// their boundary queues for the call that reaches it.
 		g.parallel(jobRunFinal, until, single)
-		g.now = until
+		g.now, g.midWindow = until, true
 		break
 	}
 	if !single {

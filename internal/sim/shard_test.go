@@ -189,9 +189,9 @@ func TestShardsBoundaryFIFO(t *testing.T) {
 func TestShardsControlOrder(t *testing.T) {
 	g := NewShards(2, 10)
 	var seq []string
-	g.ControlAt(5, func() { seq = append(seq, fmt.Sprintf("a@%d", g.Now())) })
-	g.ControlAt(5, func() { seq = append(seq, fmt.Sprintf("b@%d", g.Now())) })
-	g.ControlAt(0, func() {
+	g.At(5, func() { seq = append(seq, fmt.Sprintf("a@%d", g.Now())) })
+	g.At(5, func() { seq = append(seq, fmt.Sprintf("b@%d", g.Now())) })
+	g.At(0, func() {
 		seq = append(seq, fmt.Sprintf("c@%d", g.Now()))
 		g.After(12, func() { seq = append(seq, fmt.Sprintf("d@%d", g.Now())) })
 	})

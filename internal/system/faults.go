@@ -1,10 +1,11 @@
 // Sustained-fault regimes: the availability layer drives recoveries
 // through deterministic fault processes instead of (or alongside) the
 // single periodic injector of the Figure 4 methodology. Every regime
-// runs on the same scheduling surface on both execution paths — kernel
-// events classically, window-edge control when sharded — so fault
-// arrival times, deferrals and the resulting recovery schedule are
-// bit-identical at every shard count.
+// runs on the system's control scheduler (a sim.Scheduler: kernel
+// events classically, window-edge control when sharded, where every
+// delivery is quantized to a window edge like deferred protocol
+// detections), so fault arrival times, deferrals and the resulting
+// recovery schedule are bit-identical at every shard count.
 //
 // Faults that land while a recovery is already in progress are the
 // interesting case (the paper's availability argument must hold under
@@ -56,22 +57,12 @@ func (f FaultRegime) String() string {
 	}
 }
 
-// faultSched is the scheduling surface a fault injector needs. Both
-// *sim.Kernel (classic path) and *sim.Shards (window-edge control)
-// satisfy it; in sharded mode every fault delivery is thereby quantized
-// to a window edge, exactly like deferred protocol detections.
-type faultSched interface {
-	Now() sim.Time
-	After(d sim.Time, fn func())
-}
-
 // faultInjector delivers the faults of one configured source (the
 // legacy periodic injector, or one regime) to the coordinator. Each
 // source gets its own injector so their deferral slots stay
 // independent.
 type faultInjector struct {
-	s     *System
-	sched faultSched
+	s *System
 
 	// Deferral slot: a fault arriving while Coord.InRecovery() parks
 	// here; later arrivals behind the same recovery coalesce into it,
@@ -86,13 +77,13 @@ type faultInjector struct {
 }
 
 // startFaults wires the legacy periodic injector and the configured
-// fault regime onto sched. Called once from Start/startSharded.
-func (s *System) startFaults(sched faultSched) {
+// fault regime onto the control scheduler. Called once from Start.
+func (s *System) startFaults() {
 	if d := s.Cfg.InjectRecoveryEvery; d > 0 {
-		in := &faultInjector{s: s, sched: sched}
+		in := &faultInjector{s: s}
 		in.startPeriodic(d)
 	}
-	in := &faultInjector{s: s, sched: sched}
+	in := &faultInjector{s: s}
 	switch s.Cfg.FaultRegime {
 	case FaultStorm:
 		in.startStorm()
@@ -107,12 +98,10 @@ func (s *System) startFaults(sched faultSched) {
 // already passed (a deferred delivery whose nominal time is behind the
 // clock). Sharded mode rounds up to the next window edge.
 func (f *faultInjector) at(t sim.Time, fn func()) {
-	now := f.sched.Now()
-	if t <= now {
-		f.sched.After(1, fn)
-		return
+	if now := f.s.ctl.Now(); t <= now {
+		t = now + 1
 	}
-	f.sched.After(t-now, fn)
+	f.s.ctl.At(t, fn)
 }
 
 // deliver routes one fault with nominal time t to the coordinator,
@@ -153,7 +142,7 @@ func (f *faultInjector) redeliver() {
 // or not a delivery had to wait out a recovery, so the recovery-latency
 // distribution charges the wait honestly.
 func (f *faultInjector) startPeriodic(d sim.Time) {
-	nominal := f.sched.Now() + d
+	nominal := f.s.ctl.Now() + d
 	var fire func()
 	fire = func() {
 		t := nominal
@@ -180,7 +169,7 @@ func (f *faultInjector) startStorm() {
 	f.rngs = make([]*sim.RNG, cfg.Nodes)
 	f.next = make([]sim.Time, cfg.Nodes)
 	gap := gapCycles(cfg, cfg.FaultRate/float64(cfg.Nodes))
-	now := f.sched.Now()
+	now := f.s.ctl.Now()
 	for i := range f.rngs {
 		f.rngs[i] = sim.NewRNG(cfg.Seed ^ 0x5702a11 ^ uint64(i)*0x9e3779b97f4a7c15)
 		f.next[i] = now + sim.Time(f.rngs[i].Geometric(gap))
@@ -219,7 +208,7 @@ func (f *faultInjector) startRegional() {
 // the regime contributes is the burst's arrival structure (one rollback,
 // then typically one coalesced follow-up after resume).
 func (f *faultInjector) armRegional(gap float64) {
-	now := f.sched.Now()
+	now := f.s.ctl.Now()
 	t := now + sim.Time(f.rng.Geometric(gap))
 	f.at(t, func() {
 		quad := int(f.rng.Uint64n(4))
@@ -263,12 +252,12 @@ func (f *faultInjector) startRepeat() {
 // InRecovery and must defer to the resume point. Aftershocks do not
 // spawn further aftershocks.
 func (f *faultInjector) armRepeat(gap float64) {
-	now := f.sched.Now()
+	now := f.s.ctl.Now()
 	t := now + sim.Time(f.rng.Geometric(gap))
 	f.at(t, func() {
 		f.deliver(t, "repeat")
 		if c := f.s.Coord; !f.pending && c.InRecovery() {
-			mid := f.sched.Now() + (c.ResumeAt()-f.sched.Now())/2
+			mid := f.s.ctl.Now() + (c.ResumeAt()-f.s.ctl.Now())/2
 			f.at(mid, func() { f.deliver(mid, "repeat") })
 		}
 		f.armRepeat(gap)

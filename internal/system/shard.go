@@ -14,35 +14,34 @@
 // grids): the per-edge drain scan is O(5N) instead of O(N^2), which is
 // what keeps window overhead flat on the road to 32x32 tilings.
 //
-// Everything global runs at window edges, single-threaded, with every
-// kernel quiesced at the same instant:
-//
-//   - checkpoint orchestration (pause, drain-poll, take, resume);
-//   - recoveries: a mis-speculation detected mid-window is deferred to
-//     the next edge (at most one window of extra detection latency —
-//     the whole window's state is discarded by the rollback anyway);
-//   - the transaction-timeout watchdog (a scan of every node's TBEs);
-//   - slow-start token grants and the forward-progress policy timers.
+// Everything global — checkpoint orchestration (pause, drain-poll,
+// take, resume), the log-stall hold, the transaction-timeout watchdog
+// (a scan of every node's TBEs), fault injection, and the slow-start
+// and adaptive-routing policy timers — is the same code on both paths,
+// written against the system's control scheduler (System.ctl, a
+// sim.Scheduler). Here that scheduler is the tile group, so control
+// runs at window edges, single-threaded, with every kernel quiesced at
+// the same instant, and a drain poll steps to the next edge instead of
+// 20 cycles. What stays specific to this file is the tile layout and
+// the edge-deferred recovery: a mis-speculation detected mid-window is
+// committed at the next edge (at most one window of extra detection
+// latency — the whole window's state is discarded by the rollback
+// anyway).
 //
 // Determinism: shard-local execution is sequential; boundary arrivals
 // enter kernels at deterministic edges in deterministic per-link FIFO
 // order (same-shard links included, so bucket positions cannot depend
 // on where the partition boundary falls); global control runs at
-// deterministic edge times; and all statistics are exact integer
-// accumulators striped per shard or per node. Results are therefore
-// bit-identical at every shard count — the equivalence tests and the
-// CI parallel-determinism lane hold the project to it.
+// deterministic edge times on a grid that no Run call pattern moves;
+// and all statistics are exact integer accumulators striped per shard
+// or per node. Results are therefore bit-identical at every shard
+// count — the equivalence tests and the CI parallel-determinism lane
+// hold the project to it.
 package system
 
 import (
 	"specsimp/internal/coherence"
-	"specsimp/internal/core"
-	"specsimp/internal/directory"
-	"specsimp/internal/network"
-	"specsimp/internal/processor"
-	"specsimp/internal/safetynet"
 	"specsimp/internal/sim"
-	"specsimp/internal/workload"
 )
 
 // shardRuntime is the per-system state of the sharded execution mode.
@@ -62,7 +61,7 @@ type shardRuntime struct {
 	pendReason []string
 }
 
-// TileGrid factors `shards` into the R×C tile grid buildSharded uses on
+// TileGrid factors `shards` into the R×C tile grid BuildChecked uses on
 // a w×h torus: among factorizations with R dividing the height and C
 // the width, it picks the one whose tiles are closest to square
 // (minimizing |tileW - tileH|), preferring more columns on ties — the
@@ -149,108 +148,22 @@ func tileLookahead(r, c int, minHop sim.Time) [][]sim.Time {
 	return look
 }
 
-// buildSharded is BuildChecked's Shards >= 1 path for directory kinds.
-// The machine it assembles is the same as the classic one, re-homed
-// onto per-strip kernels; ValidateConfig has already vetted geometry,
-// kind and network features.
-func buildSharded(cfg Config) (*System, error) {
+// newShardRuntime builds the tile group for a validated Shards >= 1
+// directory config: the R×C tile grid, its lookahead topology, the
+// node-to-tile map and the per-tile deferral slots.
+func newShardRuntime(cfg Config) *shardRuntime {
 	window := cfg.Net.MinHopLatency()
 	rows, cols := shardGrid(cfg)
 	grp := sim.NewShards(cfg.Shards, window)
 	grp.SetLookahead(tileLookahead(rows, cols, window))
-	shardOf := tileMap(cfg.Net.Width, cfg.Net.Height, rows, cols)
-	k0 := grp.Kernel(0)
-
-	net, err := network.NewOnShards(grp, cfg.Net, shardOf)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ReorderInjectProb > 0 {
-		// One RNG stream per node: the classic path shares one stream,
-		// whose draw order would depend on cross-shard execution order.
-		rngs := make([]*sim.RNG, cfg.Nodes)
-		for i := range rngs {
-			rngs[i] = sim.NewRNG(cfg.Seed ^ 0xfa17 ^ uint64(i)*0x9e3779b97f4a7c15)
-		}
-		delay := cfg.ReorderInjectDelay
-		if delay == 0 {
-			delay = 2_000
-		}
-		net.PerturbFn = func(m *network.Message) sim.Time {
-			if m.VNet == coherence.VNetForward && rngs[m.Src].Bool(cfg.ReorderInjectProb) {
-				return delay
-			}
-			return 0
-		}
-	}
-
-	sn := safetynet.DefaultConfig(cfg.Nodes, cfg.CheckpointInterval)
-	applyLogBytes(&sn, cfg)
-	mgr := safetynet.NewManager(k0, sn)
-	coord := core.NewCoordinator(k0, mgr)
-
-	sh := &shardRuntime{
+	return &shardRuntime{
 		grp:        grp,
-		shardOf:    shardOf,
+		shardOf:    tileMap(cfg.Net.Width, cfg.Net.Height, rows, cols),
 		pendSet:    make([]bool, cfg.Shards),
 		pendAt:     make([]sim.Time, cfg.Shards),
 		pendNode:   make([]coherence.NodeID, cfg.Shards),
 		pendReason: make([]string, cfg.Shards),
 	}
-	s := &System{Cfg: cfg, K: k0, Net: net, Mgr: mgr, Coord: coord, sh: sh}
-
-	dir, err := directory.NewChecked(k0, net, directoryConfigFor(cfg), mgr)
-	if err != nil {
-		return nil, err
-	}
-	dir.PartitionOnShards(grp, shardOf)
-	s.Dir = dir
-	dir.OnMisSpeculationAt = s.deferMisSpeculation
-
-	gens := make([]workload.Generator, cfg.Nodes)
-	for i := range gens {
-		gens[i] = workload.New(cfg.Workload, i, cfg.Nodes, cfg.Seed)
-		if cfg.Recorder != nil {
-			gens[i] = cfg.Recorder.Wrap(i, gens[i])
-		}
-	}
-	s.Pool = processor.NewPool(k0, cfg.Nodes, dir.Access, gens)
-	s.Pool.PartitionOnShards(grp, shardOf)
-
-	coord.ResetFn = func() {
-		net.Reset()
-		dir.ResetTransients()
-	}
-	coord.RestoreFn = func(snapshot interface{}) {
-		s.Pool.RestoreAll(snapshot.([]processor.Snapshot))
-	}
-	coord.ResumeFn = func(at sim.Time) {
-		s.noteRecoveryOutage(at)
-		s.Pool.Resume(at)
-	}
-	if cfg.Net.Routing == network.Adaptive {
-		// The policy's timer must fire at a window edge: toggling
-		// routing policy is visible to every shard.
-		coord.AddPolicy(&core.DisableAdaptiveRouting{K: grp, Net: net, ReenableAfter: cfg.AdaptiveDisableWindow})
-	}
-	ssLimit := cfg.SlowStartLimit
-	if ssLimit <= 0 {
-		ssLimit = 1
-	}
-	coord.AddPolicy(&core.SlowStart{K: grp, Limiter: s.Pool, Limit: ssLimit, Normal: 0, Window: cfg.SlowStartWindow})
-	coord.PolicyExempt = func(reason string) bool { return reason == "injected" }
-
-	grp.PreControl = func(now sim.Time) {
-		s.commitDeferredRecoveries(now)
-		// Log backpressure, sharded flavor: the pressure flags are
-		// written by each node's owning shard mid-window (never read
-		// there), so the edge is the first safe point to observe them
-		// and force an early checkpoint. The classic path uses
-		// Manager.OnPressure instead.
-		s.forceCheckpoint()
-	}
-	grp.PostControl = func(sim.Time) { s.Pool.GrantWaiting() }
-	return s, nil
 }
 
 // deferMisSpeculation records a protocol-detected mis-speculation from
@@ -310,107 +223,4 @@ func (s *System) commitDeferredRecoveries(sim.Time) {
 	// it; passing it through charges the edge-deferral to the
 	// recovery-latency distribution.
 	s.Coord.TriggerMisSpeculationAt(reason, at)
-}
-
-// startSharded is Start for the sharded path: identical structure to
-// the classic one, with every global cadence — checkpoint attempts,
-// watchdog scans, recovery injection — scheduled as window-edge control
-// instead of kernel events.
-func (s *System) startSharded() {
-	grp := s.sh.grp
-	s.startedAt = grp.Now()
-	s.ckptInterval = s.Cfg.CheckpointInterval
-	s.Mgr.TakeCheckpoint(s.Pool.SnapshotAll())
-	if s.OnCheckpoint != nil {
-		s.OnCheckpoint()
-	}
-	s.Pool.Start()
-
-	s.scheduleCheckpoint(s.Cfg.CheckpointInterval)
-	if s.Cfg.TimeoutCycles > 0 {
-		interval := s.Cfg.CheckpointInterval / 4
-		var tick func()
-		tick = func() {
-			if _, ok := s.Dir.TimeoutScan(); ok {
-				s.Dir.NoteTimeout()
-				s.Coord.TriggerMisSpeculation("deadlock-timeout")
-			}
-			grp.After(interval, tick)
-		}
-		grp.After(interval, tick)
-	}
-	s.startFaults(grp)
-}
-
-// attemptCheckpointSharded mirrors attemptCheckpoint on edge control:
-// pause, poll the drain once per edge (the classic path polls every 20
-// cycles; here the edge cadence is the window), checkpoint, then resume
-// — or hold the pool in the log stall if the logs are still at capacity
-// (stallForLogSpaceSharded, the overflow backpressure fix).
-func (s *System) attemptCheckpointSharded() {
-	if s.checkpointing {
-		return
-	}
-	s.checkpointing = true
-	s.checkpointGen++
-	grp := s.sh.grp
-	began := grp.Now()
-	var poll func()
-	poll = func() {
-		if s.Coord.InRecovery() {
-			grp.ControlAt(s.Coord.ResumeAt()+1, poll)
-			return
-		}
-		s.Pool.Pause()
-		if s.inFlight() == 0 {
-			s.occAtCkpt = s.Mgr.MaxOccupancyEntries()
-			s.Mgr.TakeCheckpointWindow(s.Pool.SnapshotAll(), s.validationWindow())
-			if s.OnCheckpoint != nil {
-				s.OnCheckpoint()
-			}
-			s.checkpointStall.Add(uint64(grp.Now() - began))
-			if s.Mgr.PressureSignal() {
-				s.stallForLogSpaceSharded()
-				return
-			}
-			s.finishCheckpoint()
-			return
-		}
-		grp.After(1, poll) // re-check at the next edge
-	}
-	poll()
-}
-
-// stallForLogSpaceSharded mirrors stallForLogSpace on edge control,
-// polling the commit once per window edge instead of every 20 cycles.
-func (s *System) stallForLogSpaceSharded() {
-	grp := s.sh.grp
-	began := grp.Now()
-	s.logStalled = true
-	s.inLogStall = true
-	s.stallBegan = began
-	deadline := began + s.validationWindow()
-	var wait func()
-	wait = func() {
-		if s.Coord.InRecovery() {
-			grp.ControlAt(s.Coord.ResumeAt()+1, wait)
-			return
-		}
-		s.Pool.Pause()
-		s.Mgr.CommitNow()
-		pressured := s.Mgr.PressureSignal()
-		if pressured && grp.Now() < deadline {
-			grp.After(1, wait)
-			return
-		}
-		s.logStallCycles += uint64(grp.Now() - began)
-		s.inLogStall = false
-		if pressured {
-			s.checkpointing = false
-			s.attemptCheckpointSharded()
-			return
-		}
-		s.finishCheckpoint()
-	}
-	wait()
 }

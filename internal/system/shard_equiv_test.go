@@ -79,14 +79,13 @@ func TestShardedResultsBitIdentical8x8(t *testing.T) {
 	}
 }
 
-// TestShardedRepeatedRunsEquivalent checks chopping Run into uneven
-// chunks — which re-anchors the window edges at every chunk boundary —
-// behaves identically at different shard counts as long as the call
-// pattern matches. (Edge placement is part of the schedule: the
-// guarantee is bit-identical results for identical Run sequences at
-// any shard count, which is exactly what the sweep engine performs.)
+// TestShardedRepeatedRunsEquivalent checks that chopping Run into
+// uneven chunks changes nothing: window edges stay on the grid fixed at
+// the group's origin, so Run(11_000); Run(1); Run(18_999) deep-equals
+// one Run(30_000) — as it does on the classic path — and both agree at
+// every tile count.
 func TestShardedRepeatedRunsEquivalent(t *testing.T) {
-	run := func(shards int) Results {
+	build := func(shards int) *System {
 		cfg := shardedBase(DirectorySpec, workload.Uniform, 4, 4)
 		cfg.Shards = shards
 		s, err := BuildChecked(cfg)
@@ -94,14 +93,23 @@ func TestShardedRepeatedRunsEquivalent(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Start()
+		return s
+	}
+	chunked := func(shards int) Results {
+		s := build(shards)
 		s.Run(11_000)
 		s.Run(1)
 		return s.Run(18_999)
 	}
-	ref := run(1)
-	for _, n := range []int{2, 4} {
-		if got := run(n); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("chunked runs at %d shards diverged from serial:\nserial: %+v\nshards: %+v", n, ref, got)
+	ref := build(1).Run(30_000)
+	for _, n := range []int{1, 2, 4} {
+		if got := chunked(n); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("chunked runs at %d shards diverged from one call at 1 shard:\none call: %+v\nchunked: %+v", n, ref, got)
+		}
+		if n > 1 {
+			if got := build(n).Run(30_000); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("one call at %d shards diverged from 1 shard:\n1 shard: %+v\nshards: %+v", n, ref, got)
+			}
 		}
 	}
 }

@@ -224,10 +224,11 @@ func DefaultConfigSized(kind Kind, wl workload.Profile, w, h int) Config {
 	return cfg
 }
 
-// System is a built machine bound to a kernel.
+// System is a built machine bound to a schedule: one kernel on the
+// classic path, a tile group of kernels on the windowed one.
 type System struct {
 	Cfg   Config
-	K     *sim.Kernel
+	K     *sim.Kernel // the kernel (tile 0's on the windowed path)
 	Net   *network.Network
 	Dir   *directory.Protocol // nil for snooping systems
 	Snoop *snoop.Protocol     // nil for directory systems
@@ -244,12 +245,20 @@ type System struct {
 	// from window-edge control context with every shard quiesced.
 	OnCheckpoint func()
 
+	// ctl schedules every global control action — checkpoint cadence
+	// and drain polls, the watchdog, fault injection, forward-progress
+	// timers. It is K on the classic path and the tile group on the
+	// windowed one, where its closures run at window edges. pollStep is
+	// the drain-poll period that matches it: 20 cycles on a kernel, one
+	// cycle (that is, the next window edge) on a tile group.
+	ctl      sim.Scheduler
+	pollStep sim.Time
+
 	// sh is the intra-run sharding runtime (nil on the classic serial
 	// path). See shard.go.
 	sh *shardRuntime
 
 	checkpointing   bool
-	checkpointGen   uint64
 	startedAt       sim.Time
 	checkpointStall stats.Counter
 
@@ -498,47 +507,46 @@ func BuildChecked(cfg Config) (*System, error) {
 	if err := ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
+	s := &System{Cfg: cfg}
+	var err error
 	if cfg.Shards >= 1 && cfg.Kind.IsDirectory() {
 		// Conservative-window parallel intra-run path (shard.go). One
-		// shard still uses the windowed engine — that is what makes
+		// tile still uses the windowed engine — that is what makes
 		// results bit-identical across every -shards value.
-		return buildSharded(cfg)
+		s.sh = newShardRuntime(cfg)
+		s.K, s.ctl, s.pollStep = s.sh.grp.Kernel(0), s.sh.grp, 1
+		s.Net, err = network.NewOnShards(s.sh.grp, cfg.Net, s.sh.shardOf)
+	} else {
+		s.K = sim.NewKernel()
+		s.ctl, s.pollStep = s.K, 20
+		s.Net, err = network.NewChecked(s.K, cfg.Net)
 	}
-	k := sim.NewKernel()
-	net, err := network.NewChecked(k, cfg.Net)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.ReorderInjectProb > 0 {
-		rng := sim.NewRNG(cfg.Seed ^ 0xfa17)
-		delay := cfg.ReorderInjectDelay
-		if delay == 0 {
-			delay = 2_000
-		}
-		net.PerturbFn = func(m *network.Message) sim.Time {
-			if m.VNet == coherence.VNetForward && rng.Bool(cfg.ReorderInjectProb) {
-				return delay
-			}
-			return 0
-		}
+		s.Net.PerturbFn = reorderInjector(cfg, s.sh != nil)
 	}
 	sn := safetynet.DefaultConfig(cfg.Nodes, cfg.CheckpointInterval)
 	applyLogBytes(&sn, cfg)
-	mgr := safetynet.NewManager(k, sn)
-	coord := core.NewCoordinator(k, mgr)
-
-	s := &System{Cfg: cfg, K: k, Net: net, Mgr: mgr, Coord: coord}
+	s.Mgr = safetynet.NewManager(s.K, sn)
+	s.Coord = core.NewCoordinator(s.K, s.Mgr)
 
 	var access processor.AccessFunc
 	switch {
 	case cfg.Kind.IsDirectory():
-		dir, err := directory.NewChecked(k, net, directoryConfigFor(cfg), mgr)
+		dir, err := directory.NewChecked(s.K, s.Net, directoryConfigFor(cfg), s.Mgr)
 		if err != nil {
 			return nil, err
 		}
+		if s.sh != nil {
+			dir.PartitionOnShards(s.sh.grp, s.sh.shardOf)
+			dir.OnMisSpeculation = s.deferMisSpeculation
+		} else {
+			dir.OnMisSpeculation = func(_ coherence.NodeID, reason string) { s.Coord.TriggerMisSpeculation(reason) }
+		}
 		s.Dir = dir
-		s.Dir.OnMisSpeculation = func(reason string) { coord.TriggerMisSpeculation(reason) }
-		access = s.Dir.Access
+		access = dir.Access
 	default:
 		v := snoop.Full
 		if cfg.Kind == SnoopSpec {
@@ -547,9 +555,9 @@ func BuildChecked(cfg Config) (*System, error) {
 		scfg := snoop.DefaultConfig(cfg.Nodes, v)
 		scfg.TimeoutCycles = cfg.TimeoutCycles
 		overrideCaches(&scfg.L1Bytes, &scfg.L1Ways, &scfg.L2Bytes, &scfg.L2Ways, cfg)
-		s.Bus = snoop.NewBus(k, cfg.Bus)
-		s.Snoop = snoop.New(k, s.Bus, net, scfg, mgr)
-		s.Snoop.OnMisSpeculation = func(reason string) { coord.TriggerMisSpeculation(reason) }
+		s.Bus = snoop.NewBus(s.K, cfg.Bus)
+		s.Snoop = snoop.New(s.K, s.Bus, s.Net, scfg, s.Mgr)
+		s.Snoop.OnMisSpeculation = func(reason string) { s.Coord.TriggerMisSpeculation(reason) }
 		access = s.Snoop.Access
 	}
 
@@ -560,11 +568,15 @@ func BuildChecked(cfg Config) (*System, error) {
 			gens[i] = cfg.Recorder.Wrap(i, gens[i])
 		}
 	}
-	s.Pool = processor.NewPool(k, cfg.Nodes, access, gens)
+	s.Pool = processor.NewPool(s.K, cfg.Nodes, access, gens)
+	if s.sh != nil {
+		s.Pool.PartitionOnShards(s.sh.grp, s.sh.shardOf)
+	}
 
 	// Recovery wiring (framework features 3 and 4).
+	coord := s.Coord
 	coord.ResetFn = func() {
-		net.Reset()
+		s.Net.Reset()
 		if s.Dir != nil {
 			s.Dir.ResetTransients()
 		}
@@ -580,27 +592,68 @@ func BuildChecked(cfg Config) (*System, error) {
 		s.noteRecoveryOutage(at)
 		s.Pool.Resume(at)
 	}
+	// The policies' timers run on ctl: toggling routing or the
+	// outstanding limit is visible to every tile, so on the windowed
+	// path it must happen at a window edge.
 	if cfg.Net.Routing == network.Adaptive {
-		coord.AddPolicy(&core.DisableAdaptiveRouting{K: k, Net: net, ReenableAfter: cfg.AdaptiveDisableWindow})
+		coord.AddPolicy(&core.DisableAdaptiveRouting{K: s.ctl, Net: s.Net, ReenableAfter: cfg.AdaptiveDisableWindow})
 	}
 	ssLimit := cfg.SlowStartLimit
 	if ssLimit <= 0 {
 		ssLimit = 1
 	}
-	coord.AddPolicy(&core.SlowStart{K: k, Limiter: s.Pool, Limit: ssLimit, Normal: 0, Window: cfg.SlowStartWindow})
+	coord.AddPolicy(&core.SlowStart{K: s.ctl, Limiter: s.Pool, Limit: ssLimit, Normal: 0, Window: cfg.SlowStartWindow})
 	coord.PolicyExempt = func(reason string) bool { return reason == "injected" }
+
+	// Log backpressure: force an early checkpoint as soon as any node's
+	// log fills. On the windowed path the pressure flags are written by
+	// each node's owning tile mid-window (never read there), so the edge
+	// is the first safe point to observe them: PreControl scans them
+	// after committing deferred recoveries, and PostControl hands out
+	// the slow-start issue tokens tiles asked for mid-window.
+	if s.sh != nil {
+		s.sh.grp.PreControl = func(now sim.Time) {
+			s.commitDeferredRecoveries(now)
+			s.forceCheckpoint()
+		}
+		s.sh.grp.PostControl = func(sim.Time) { s.Pool.GrantWaiting() }
+	} else {
+		s.Mgr.OnPressure = func() { s.K.After(1, s.forceCheckpoint) }
+	}
 	return s, nil
+}
+
+// reorderInjector returns the ReorderInjectProb perturbation: each
+// ForwardedRequest-class message is held at its source for
+// ReorderInjectDelay cycles with that probability. The classic path
+// draws from one shared stream; the windowed path gives every node its
+// own stream (node 0's is the shared one), because a shared stream's
+// draw order would depend on cross-tile execution order.
+func reorderInjector(cfg Config, perNode bool) func(*network.Message) sim.Time {
+	rngs := make([]*sim.RNG, 1)
+	if perNode {
+		rngs = make([]*sim.RNG, cfg.Nodes)
+	}
+	for i := range rngs {
+		rngs[i] = sim.NewRNG(cfg.Seed ^ 0xfa17 ^ uint64(i)*0x9e3779b97f4a7c15)
+	}
+	delay := cfg.ReorderInjectDelay
+	if delay == 0 {
+		delay = 2_000
+	}
+	return func(m *network.Message) sim.Time {
+		if m.VNet == coherence.VNetForward && rngs[int(m.Src)%len(rngs)].Bool(cfg.ReorderInjectProb) {
+			return delay
+		}
+		return 0
+	}
 }
 
 // Start takes the initial checkpoint, starts the processors, the
 // checkpoint cadence, the watchdog, and (if configured) the recovery
 // injector. Call once.
 func (s *System) Start() {
-	if s.sh != nil {
-		s.startSharded()
-		return
-	}
-	s.startedAt = s.K.Now()
+	s.startedAt = s.ctl.Now()
 	s.ckptInterval = s.Cfg.CheckpointInterval
 	s.Mgr.TakeCheckpoint(s.Pool.SnapshotAll())
 	if s.OnCheckpoint != nil {
@@ -611,7 +664,18 @@ func (s *System) Start() {
 	if s.Cfg.Kind.IsDirectory() {
 		s.scheduleCheckpoint(s.Cfg.CheckpointInterval)
 		if s.Cfg.TimeoutCycles > 0 {
-			s.Dir.StartWatchdog(s.Cfg.CheckpointInterval / 4)
+			// The §4 transaction-timeout watchdog: it reads every node's
+			// transactions, so it runs as control.
+			interval := s.Cfg.CheckpointInterval / 4
+			var tick func()
+			tick = func() {
+				if _, ok := s.Dir.TimeoutScan(); ok {
+					s.Dir.NoteTimeout()
+					s.Coord.TriggerMisSpeculation("deadlock-timeout")
+				}
+				s.ctl.After(interval, tick)
+			}
+			s.ctl.After(interval, tick)
 		}
 	} else {
 		every := s.Cfg.SnoopCheckpointRequests
@@ -627,12 +691,7 @@ func (s *System) Start() {
 			s.Snoop.StartWatchdog(s.Cfg.CheckpointInterval / 4)
 		}
 	}
-
-	// Log backpressure (classic path): force an early checkpoint as soon
-	// as any node's log fills. The sharded path polls PressureSignal at
-	// window edges instead — see startSharded.
-	s.Mgr.OnPressure = func() { s.K.After(1, s.forceCheckpoint) }
-	s.startFaults(s.K)
+	s.startFaults()
 }
 
 // attemptCheckpoint drains in-flight transactions and takes a SafetyNet
@@ -645,12 +704,11 @@ func (s *System) attemptCheckpoint() {
 		return
 	}
 	s.checkpointing = true
-	s.checkpointGen++
-	began := s.K.Now()
+	began := s.ctl.Now()
 	var poll func()
 	poll = func() {
 		if s.Coord.InRecovery() {
-			s.K.At(s.Coord.ResumeAt()+1, poll)
+			s.ctl.At(s.Coord.ResumeAt()+1, poll)
 			return
 		}
 		s.Pool.Pause()
@@ -660,7 +718,7 @@ func (s *System) attemptCheckpoint() {
 			if s.OnCheckpoint != nil {
 				s.OnCheckpoint()
 			}
-			s.checkpointStall.Add(uint64(s.K.Now() - began))
+			s.checkpointStall.Add(uint64(s.ctl.Now() - began))
 			if s.Mgr.PressureSignal() {
 				s.stallForLogSpace()
 				return
@@ -668,7 +726,7 @@ func (s *System) attemptCheckpoint() {
 			s.finishCheckpoint()
 			return
 		}
-		s.K.After(20, poll)
+		s.ctl.After(s.pollStep, poll)
 	}
 	poll()
 }
@@ -677,12 +735,7 @@ func (s *System) attemptCheckpoint() {
 // stall) and schedules the next periodic attempt through the cadence
 // controller.
 func (s *System) finishCheckpoint() {
-	now := s.K.Now()
-	if s.sh != nil {
-		now = s.sh.grp.Now()
-	}
-	lat := s.Mgr.Config().RegCkptLatency
-	s.Pool.Resume(now + lat)
+	s.Pool.Resume(s.ctl.Now() + s.Mgr.Config().RegCkptLatency)
 	s.checkpointing = false
 	if s.Cfg.Kind.IsDirectory() {
 		s.scheduleCheckpoint(s.nextCheckpointDelay())
@@ -697,38 +750,24 @@ func (s *System) finishCheckpoint() {
 func (s *System) scheduleCheckpoint(d sim.Time) {
 	s.ckptTimer++
 	gen := s.ckptTimer
-	fire := func() {
-		if gen != s.ckptTimer {
-			return
-		}
-		if s.sh != nil {
-			s.attemptCheckpointSharded()
-		} else {
+	s.ctl.After(d, func() {
+		if gen == s.ckptTimer {
 			s.attemptCheckpoint()
 		}
-	}
-	if s.sh != nil {
-		s.sh.grp.After(d, fire)
-	} else {
-		s.K.After(d, fire)
-	}
+	})
 }
 
 // forceCheckpoint starts an immediate checkpoint attempt in response to
 // log pressure: the new checkpoint opens an epoch whose validation will
 // free the over-capacity entries, and the attempt holds the pool paused
 // until it does. The classic path reaches here via Manager.OnPressure;
-// the sharded path from its window-edge PreControl scan.
+// the windowed path from its window-edge PreControl scan.
 func (s *System) forceCheckpoint() {
 	if s.checkpointing || !s.Mgr.PressureSignal() {
 		return
 	}
 	s.ckptTimer++ // cancel the pending periodic attempt
-	if s.sh != nil {
-		s.attemptCheckpointSharded()
-	} else {
-		s.attemptCheckpoint()
-	}
+	s.attemptCheckpoint()
 }
 
 // stallForLogSpace holds the pool paused after a checkpoint whose logs
@@ -739,7 +778,7 @@ func (s *System) forceCheckpoint() {
 // (checkpoint, stall, repeat) instead of deadlocking or, as before the
 // fix, logging past its budget for free.
 func (s *System) stallForLogSpace() {
-	began := s.K.Now()
+	began := s.ctl.Now()
 	s.logStalled = true
 	s.inLogStall = true
 	s.stallBegan = began
@@ -747,17 +786,17 @@ func (s *System) stallForLogSpace() {
 	var wait func()
 	wait = func() {
 		if s.Coord.InRecovery() {
-			s.K.At(s.Coord.ResumeAt()+1, wait)
+			s.ctl.At(s.Coord.ResumeAt()+1, wait)
 			return
 		}
 		s.Pool.Pause()
 		s.Mgr.CommitNow()
 		pressured := s.Mgr.PressureSignal()
-		if pressured && s.K.Now() < deadline {
-			s.K.After(20, wait)
+		if pressured && s.ctl.Now() < deadline {
+			s.ctl.After(s.pollStep, wait)
 			return
 		}
-		s.logStallCycles += uint64(s.K.Now() - began)
+		s.logStallCycles += uint64(s.ctl.Now() - began)
 		s.inLogStall = false
 		if pressured {
 			s.checkpointing = false
@@ -826,7 +865,7 @@ func (s *System) validationWindow() sim.Time {
 // resumeAt + SlowStartWindow (degraded). Overlapping windows merge so
 // repeated faults never double-count a cycle.
 func (s *System) noteRecoveryOutage(resumeAt sim.Time) {
-	now := s.K.Now()
+	now := s.ctl.Now()
 	if resumeAt > now {
 		s.outageCycles += uint64(resumeAt - now)
 	}
@@ -868,11 +907,12 @@ func (s *System) inFlight() int {
 // Run executes the system for the given number of cycles (after Start)
 // and returns the results.
 func (s *System) Run(cycles sim.Time) Results {
+	until := s.ctl.Now() + cycles
 	if s.sh != nil {
-		s.sh.grp.Run(s.sh.grp.Now() + cycles)
-		return s.Results()
+		s.sh.grp.Run(until)
+	} else {
+		s.K.Run(until)
 	}
-	s.K.Run(s.K.Now() + cycles)
 	return s.Results()
 }
 
@@ -932,7 +972,7 @@ type Results struct {
 
 // Results snapshots the current measurements.
 func (s *System) Results() Results {
-	now := s.K.Now()
+	now := s.ctl.Now()
 	elapsed := uint64(now - s.startedAt)
 	instr := s.Pool.Instructions()
 	// One stats snapshot serves every read below: on a sharded network
