@@ -240,8 +240,9 @@ func (g *Shards) Now() Time { return g.now }
 // Post enqueues a cross-shard event: h.HandleEvent(a0, a1, p) fires at
 // `when` on shard dst's kernel. Only the goroutine executing shard src
 // may call it during a window. The event must respect the pair's
-// lookahead floor: sent at t >= window start with latency >= the floor,
-// it lands at or beyond start+floor — checked here, so a model message
+// lookahead floor: sent at t >= now (the window start, or where the
+// previous Run call stopped inside the window) with latency >= the
+// floor, it lands at or beyond now+floor — checked here, so a model message
 // that undercuts its declared floor (or crosses an inactive pair) fails
 // loudly instead of silently corrupting determinism.
 func (g *Shards) Post(src, dst int, when Time, h Handler, a0, a1 uint64, p any) {

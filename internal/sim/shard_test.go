@@ -152,15 +152,25 @@ func TestShardsDeterministicAcrossCounts(t *testing.T) {
 
 // TestShardsRepeatedRuns checks that consecutive Run calls continue
 // cleanly (worker goroutines are joined between Runs) and reach the
-// same state as one long Run.
+// same state as one long Run, with the window edges on the same grid:
+// stopping mid-window must not open an extra edge.
 func TestShardsRepeatedRuns(t *testing.T) {
-	ref := runPingModel(t, 4, 1000)
-	g, logs, _ := buildPingModel(4)
-	for _, stop := range []Time{137, 138, 500, 1000} {
-		g.Run(stop)
+	run := func(stops ...Time) ([][]string, []Time) {
+		g, logs, _ := buildPingModel(4)
+		var edges []Time
+		g.PreControl = func(now Time) { edges = append(edges, now) }
+		for _, stop := range stops {
+			g.Run(stop)
+		}
+		return logs, edges
 	}
-	if !reflect.DeepEqual(logs, ref) {
+	refLogs, refEdges := run(1000)
+	logs, edges := run(137, 138, 500, 1000)
+	if !reflect.DeepEqual(logs, refLogs) {
 		t.Fatal("chunked Runs diverged from one long Run")
+	}
+	if !reflect.DeepEqual(edges, refEdges) {
+		t.Fatalf("chunked Runs moved the window edges:\n%v\nwant\n%v", edges, refEdges)
 	}
 }
 
