@@ -53,28 +53,27 @@ func faultsConfig() Config {
 // the classic single-kernel schedule.
 func goldenConfigs() []goldenConfig {
 	const cycles = 300_000
-	type row = goldenConfig
-	var rows []row
+	var rows []goldenConfig
 	for _, k := range []Kind{DirectoryFull, DirectorySpec, SnoopFull, SnoopSpec} {
-		rows = append(rows, row{k.String(), DefaultConfig(k, workload.OLTP), cycles})
+		rows = append(rows, goldenConfig{k.String(), DefaultConfig(k, workload.OLTP), cycles})
 	}
 	faults := faultsConfig()
-	rows = append(rows, row{"faults", faults, cycles})
+	rows = append(rows, goldenConfig{"faults", faults, cycles})
 	adaptive := faults
 	adaptive.AdaptiveCheckpoint = true
-	rows = append(rows, row{"faults-adaptive", adaptive, cycles})
+	rows = append(rows, goldenConfig{"faults-adaptive", adaptive, cycles})
 	adaptive.Shards = 1
-	rows = append(rows, row{"faults-adaptive/tile1", adaptive, cycles})
+	rows = append(rows, goldenConfig{"faults-adaptive/tile1", adaptive, cycles})
 	base := shardedBase(DirectorySpec, workload.OLTP, 4, 4)
-	rows = append(rows, row{"sharded-base", base, cycles})
+	rows = append(rows, goldenConfig{"sharded-base", base, cycles})
 	base.Shards = 1
-	rows = append(rows, row{"sharded-base/tile1", base, cycles})
+	rows = append(rows, goldenConfig{"sharded-base/tile1", base, cycles})
 	simp := DefaultConfig(DirectorySpec, workload.Hotspot)
 	simp.Net = network.SimplifiedConfig(4, 4, 0.8, 2)
 	simp.CheckpointInterval = 20_000
 	simp.TimeoutCycles = 3 * simp.CheckpointInterval
 	simp.SlowStartWindow = 50_000
-	rows = append(rows, row{"simplified-net", simp, 600_000})
+	rows = append(rows, goldenConfig{"simplified-net", simp, 600_000})
 	return rows
 }
 
